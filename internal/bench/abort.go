@@ -15,7 +15,7 @@ import (
 // RMRs of the failure-free path at abort rates 0, 1% and 10%, plus the
 // RMR distribution of the back-outs themselves. Aborts are injected
 // through the public deadline API (TryLockFor with a microsecond-scale
-// deadline), so the measurement exercises the real watcher/flag/back-out
+// deadline), so the measurement exercises the real cancellation-flag/back-out
 // machinery end to end. The rate-0 row doubles as the regression anchor:
 // it must match the plain metrics experiment's F=0 numbers (the abort
 // support is off the failure-free path), which the CI abort-gate asserts.

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"rme/internal/core"
-	"rme/internal/flight"
 	"rme/internal/memory"
 	"rme/internal/metrics"
 )
@@ -44,7 +43,7 @@ import (
 // but crashing inside a critical section requires recovering the same
 // key first (bounded critical-section re-entry is per key).
 type Map struct {
-	n         int
+	driver
 	cfg       config
 	spec      core.LockSpec
 	slotLines int // region length of one per-key lock, in cache lines
@@ -52,9 +51,6 @@ type Map struct {
 	segSlots  int
 	shards    []*mapShard
 	mask      uint32
-	fr        *flight.Recorder // nil unless WithTracing
-	fail      memory.FailFunc
-	aborts    []abortFlag
 	cur       []curEntry
 }
 
@@ -169,7 +165,7 @@ func NewMap(n int, opts ...Option) (*Map, error) {
 	spec.Build(szr, n)
 
 	ma := &Map{
-		n:         n,
+		driver:    newDriver(n, &cfg),
 		cfg:       cfg,
 		spec:      spec,
 		slotLines: szr.Lines(),
@@ -177,32 +173,13 @@ func NewMap(n int, opts ...Option) (*Map, error) {
 		segSlots:  cfg.segSlots,
 		shards:    make([]*mapShard, shards),
 		mask:      uint32(shards - 1),
-		aborts:    make([]abortFlag, n),
 		cur:       make([]curEntry, n),
-	}
-	if cfg.fail != nil || cfg.labelFail != nil {
-		plain, labeled := cfg.fail, cfg.labelFail
-		ma.fail = func(pid int, op memory.OpInfo) bool {
-			if plain != nil && plain(pid) {
-				return true
-			}
-			return labeled != nil && labeled(pid, op.Label)
-		}
-	}
-	if cfg.tracing {
-		ma.fr = flight.NewRecorder(n, cfg.tracingOpts.RingSize)
-		if cfg.tracingOpts.Disabled {
-			ma.fr.SetEnabled(false)
-		}
 	}
 	for i := range ma.shards {
 		ma.shards[i] = &mapShard{m: ma, entries: make(map[string]*mapEntry)}
 	}
 	return ma, nil
 }
-
-// N returns the number of processes.
-func (ma *Map) N() int { return ma.n }
 
 // SlotWords returns the region footprint of one per-key lock, in words.
 func (ma *Map) SlotWords() int { return ma.slotWords }
@@ -228,29 +205,6 @@ func (ma *Map) newSegment() *mapSegment {
 		sg.rec = metrics.NewRecorder(ma.n, ma.cfg.levels+1, sg.arena.Capacity())
 	}
 	return sg
-}
-
-// ensurePort lazily creates process pid's port onto the segment, wired
-// exactly like a Mutex port: failure injection, the abort-flag poll,
-// label observation for the flight recorder, and the counting wrapper
-// when metrics are on. Called under the owning shard's mu, from the
-// goroutine acting as pid.
-func (sg *mapSegment) ensurePort(ma *Map, pid int) {
-	if sg.ports[pid] != nil {
-		return
-	}
-	np := sg.arena.Port(pid, ma.fail)
-	flag := &ma.aborts[pid].v
-	np.SetAbortHook(func(int) bool { return flag.Load() })
-	if ma.fr != nil {
-		pid, fr := pid, ma.fr
-		np.SetLabelHook(func(l string) { fr.ObserveLabel(pid, l) })
-	}
-	if sg.rec != nil {
-		sg.ports[pid] = sg.rec.Port(np)
-	} else {
-		sg.ports[pid] = np
-	}
 }
 
 // slotFor hands out a region for a new key, in footprint order: a
@@ -323,11 +277,7 @@ func (sh *mapShard) acquire(pid int, key string) *mapEntry {
 			lock:    sh.m.spec.Build(slot.sub, sh.m.n),
 			pending: make([]bool, sh.m.n),
 		}
-		if fr := sh.m.fr; fr != nil {
-			e.lock.SetPhaseHook(func(pid int, ph core.PhaseKind, level int) {
-				fr.Phase(pid, flightPhaseKind(ph), level)
-			})
-		}
+		sh.m.wire(e.lock)
 		sh.entries[key] = e
 		sh.instantiated++
 	}
@@ -338,22 +288,22 @@ func (sh *mapShard) acquire(pid int, key string) *mapEntry {
 	e.refs++
 	sh.clock++
 	e.stamp = sh.clock
-	e.slot.seg.ensurePort(sh.m, pid)
+	if sg := e.slot.seg; sg.ports[pid] == nil {
+		sg.ports[pid] = sh.m.port(sg.arena, pid, sg.rec)
+	}
 	return e
 }
 
 // begin resolves pid's engagement for a passage on key: a recovery
-// continues the existing engagement; a crashed claim on a different key
-// is parked as pending (pinning that key's region) before the new key
-// is engaged.
-func (ma *Map) begin(pid int, key string) *mapEntry {
-	if pid < 0 || pid >= ma.n {
-		panic(fmt.Sprintf("rme: pid %d out of range [0,%d)", pid, ma.n))
-	}
+// continues the existing engagement (resumed is true); a crashed claim
+// on a different key is parked as pending (pinning that key's region)
+// before the new key is engaged.
+func (ma *Map) begin(pid int, key string) (e *mapEntry, resumed bool) {
+	ma.checkPID(pid)
 	c := &ma.cur[pid]
 	if c.e != nil {
 		if c.e.key == key {
-			return c.e
+			return c.e, true
 		}
 		if c.inCS {
 			panic(fmt.Sprintf("rme: process %d holds key %q; nested Map passages are not supported", pid, c.e.key))
@@ -369,10 +319,10 @@ func (ma *Map) begin(pid int, key string) *mapEntry {
 		sh.mu.Unlock()
 		c.e, c.p = nil, nil
 	}
-	e := ma.shardOf(key).acquire(pid, key)
+	e = ma.shardOf(key).acquire(pid, key)
 	c.e = e
 	c.p = e.slot.seg.ports[pid]
-	return e
+	return e, false
 }
 
 // finish releases pid's engagement after a clean passage end or a
@@ -386,24 +336,23 @@ func (ma *Map) finish(pid int, e *mapEntry) {
 	c.e, c.p, c.inCS = nil, nil, false
 }
 
+// engagedRec returns the metrics recorder of the key pid is engaged
+// with, or nil (no engagement, an out-of-range pid, or no WithMetrics).
+func (ma *Map) engagedRec(pid int) *metrics.Recorder {
+	if pid < 0 || pid >= ma.n || ma.cur[pid].e == nil {
+		return nil
+	}
+	return ma.cur[pid].e.slot.seg.rec
+}
+
 // Lock acquires key's lock as process pid, instantiating the key if
 // needed. Like Mutex.Lock it is the correct call both for first
 // acquisition and for recovery after a failure on the same key.
 func (ma *Map) Lock(pid int, key string) {
-	e := ma.begin(pid, key)
+	e, _ := ma.begin(pid, key)
 	c := &ma.cur[pid]
-	if rec := e.slot.seg.rec; rec != nil {
-		rec.PassageStart(pid)
-	}
-	if ma.fr != nil {
-		ma.fr.PassageBegin(pid)
-	}
-	e.lock.Recover(c.p)
-	e.lock.Enter(c.p)
+	ma.enter(e.lock, c.p, e.slot.seg.rec, pid)
 	c.inCS = true
-	if ma.fr != nil {
-		ma.fr.CSEnter(pid)
-	}
 }
 
 // Unlock releases key's lock as process pid.
@@ -417,16 +366,7 @@ func (ma *Map) Unlock(pid int, key string) {
 		panic(fmt.Sprintf("rme: process %d unlocking key %q but holds %s", pid, key, held))
 	}
 	e := c.e
-	if ma.fr != nil {
-		ma.fr.CSExit(pid)
-	}
-	e.lock.Exit(c.p)
-	if rec := e.slot.seg.rec; rec != nil {
-		rec.PassageEnd(pid)
-	}
-	if ma.fr != nil {
-		ma.fr.PassageEnd(pid)
-	}
+	ma.exit(e.lock, c.p, e.slot.seg.rec, pid)
 	ma.finish(pid, e)
 }
 
@@ -436,23 +376,10 @@ func (ma *Map) Unlock(pid int, key string) {
 // the key pinned until recovered).
 func (ma *Map) Passage(pid int, key string, cs func()) (ok bool) {
 	defer func() {
-		e := recover()
-		if e == nil {
-			return
-		}
-		if crash, crashed := e.(memory.ErrCrash); crashed && crash.PID == pid {
-			if c := &ma.cur[pid]; c.e != nil {
-				if rec := c.e.slot.seg.rec; rec != nil {
-					rec.Crash(pid)
-				}
-			}
-			if ma.fr != nil {
-				ma.fr.Crash(pid)
-			}
+		if e := recover(); e != nil {
+			ma.crashed(e, ma.engagedRec(pid), pid)
 			ok = false
-			return
 		}
-		panic(e)
 	}()
 	ma.Lock(pid, key)
 	cs()
@@ -464,65 +391,26 @@ func (ma *Map) Passage(pid int, key string, cs func()) (ok bool) {
 // cancelled, with exactly Mutex.LockCtx's semantics and accounting:
 // every cancelled attempt — pre-cancelled, mid-spin, or at the
 // post-acquisition check — closes as one aborted attempt, never as a
-// passage, and the process then holds nothing on the key.
+// passage, and the process then holds nothing on the key. A
+// pre-cancelled attempt never touches the lock, so it leaves an earlier
+// crashed claim on key pinned and still owing its recovery.
 func (ma *Map) LockCtx(ctx context.Context, pid int, key string) error {
-	if err := ctx.Err(); err != nil {
-		e := ma.begin(pid, key)
-		if rec := e.slot.seg.rec; rec != nil {
-			rec.PassageStart(pid)
-			rec.Abort(pid)
-		}
-		if ma.fr != nil {
-			ma.fr.PassageBegin(pid)
-			ma.fr.Abort(pid)
-		}
-		ma.finish(pid, e)
-		return err
-	}
-	e := ma.begin(pid, key)
+	e, resumed := ma.begin(pid, key)
 	c := &ma.cur[pid]
 	rec := e.slot.seg.rec
-
-	w := watchCtx(ctx, &ma.aborts[pid].v)
-	defer w.Stop()
-
-	if rec != nil {
-		rec.PassageStart(pid)
+	if err := ma.cancelled(ctx, rec, pid); err != nil {
+		// The lock was never touched, so a crashed claim on this key
+		// still owes its recovery: only a fresh engagement is released.
+		if !resumed {
+			ma.finish(pid, e)
+		}
+		return err
 	}
-	if ma.fr != nil {
-		ma.fr.PassageBegin(pid)
-	}
-	if enterAborted(e.lock, c.p, pid) {
-		w.Stop()
-		e.lock.Abort(c.p)
-		if rec != nil {
-			rec.Abort(pid)
-		}
-		if ma.fr != nil {
-			ma.fr.Abort(pid)
-		}
-		ma.finish(pid, e)
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		return context.Canceled
-	}
-	if err := ctx.Err(); err != nil {
-		w.Stop()
-		e.lock.Exit(c.p)
-		if rec != nil {
-			rec.Abort(pid)
-		}
-		if ma.fr != nil {
-			ma.fr.Abort(pid)
-		}
+	if err := ma.enterCtx(ctx, e.lock, c.p, rec, pid); err != nil {
 		ma.finish(pid, e)
 		return err
 	}
 	c.inCS = true
-	if ma.fr != nil {
-		ma.fr.CSEnter(pid)
-	}
 	return nil
 }
 
@@ -540,23 +428,10 @@ func (ma *Map) TryLockFor(pid int, key string, d time.Duration) bool {
 // (false, ctx.Err()) on cancellation).
 func (ma *Map) PassageCtx(ctx context.Context, pid int, key string, cs func()) (ok bool, err error) {
 	defer func() {
-		e := recover()
-		if e == nil {
-			return
-		}
-		if crash, crashed := e.(memory.ErrCrash); crashed && crash.PID == pid {
-			if c := &ma.cur[pid]; c.e != nil {
-				if rec := c.e.slot.seg.rec; rec != nil {
-					rec.Crash(pid)
-				}
-			}
-			if ma.fr != nil {
-				ma.fr.Crash(pid)
-			}
+		if e := recover(); e != nil {
+			ma.crashed(e, ma.engagedRec(pid), pid)
 			ok, err = false, nil
-			return
 		}
-		panic(e)
 	}()
 	if err := ma.LockCtx(ctx, pid, key); err != nil {
 		return false, err
@@ -575,25 +450,14 @@ func (ma *Map) EvictIdle(max int) int {
 	for _, sh := range ma.shards {
 		sh.mu.Lock()
 		for max <= 0 || evicted < max {
-			var victim *mapEntry
-			for _, e := range sh.entries {
-				if e.refs == 0 && e.npending == 0 && (victim == nil || e.stamp < victim.stamp) {
-					victim = e
-				}
-			}
-			if victim == nil {
+			s, ok := sh.evictLocked()
+			if !ok {
 				break
 			}
-			delete(sh.entries, victim.key)
-			sh.evictions++
-			sh.recycle(victim.slot)
-			sh.free = append(sh.free, victim.slot)
+			sh.free = append(sh.free, s)
 			evicted++
 		}
 		sh.mu.Unlock()
-		if max > 0 && evicted >= max {
-			break
-		}
 	}
 	return evicted
 }
@@ -715,34 +579,4 @@ func (ma *Map) ShardMetricsSnapshots() ([]metrics.Snapshot, bool) {
 		}
 	}
 	return out, true
-}
-
-// SetTracing starts or stops flight recording at runtime (no-op without
-// WithTracing).
-func (ma *Map) SetTracing(on bool) {
-	if ma.fr != nil {
-		ma.fr.SetEnabled(on)
-	}
-}
-
-// TracingEnabled reports whether flight recording is currently active.
-func (ma *Map) TracingEnabled() bool { return ma.fr != nil && ma.fr.Enabled() }
-
-// FlightRecording snapshots the Map's flight recorder (events from
-// passages on every key interleave per process). The second result is
-// false without WithTracing.
-func (ma *Map) FlightRecording() (*flight.Recording, bool) {
-	if ma.fr == nil {
-		return nil, false
-	}
-	return ma.fr.Snapshot(), true
-}
-
-// FlightProfile returns the Map-wide phase-latency profile. The second
-// result is false without WithTracing.
-func (ma *Map) FlightProfile() (flight.Profile, bool) {
-	if ma.fr == nil {
-		return flight.Profile{}, false
-	}
-	return ma.fr.Profile(), true
 }

@@ -282,6 +282,31 @@ func TestMapAbandonedClaimPinsKey(t *testing.T) {
 	if ma.Len() != 0 {
 		t.Fatalf("Len = %d after recovery and eviction, want 0", ma.Len())
 	}
+
+	// A pre-cancelled attempt never touches the lock, so it must not
+	// release a crashed claim on its own key: the crash inside the CS
+	// still owes its recovery, and the key stays pinned. TryLockFor with
+	// a non-positive deadline takes the same path.
+	if ma.Passage(0, "a", func() { Crash(0) }) {
+		t.Fatal("passage on a completed despite the crash inside its CS")
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := ma.LockCtx(ctx, 0, "a"); err != context.Canceled {
+		t.Fatalf("pre-cancelled LockCtx = %v, want context.Canceled", err)
+	}
+	if ma.TryLockFor(0, "a", 0) {
+		t.Fatal("TryLockFor(0) acquired")
+	}
+	if got := ma.EvictIdle(0); got != 0 {
+		t.Fatalf("EvictIdle = %d after pre-cancelled attempts, want 0 (a is pinned by the crashed claim)", got)
+	}
+	if !ma.Passage(0, "a", func() {}) {
+		t.Fatal("recovery passage on a failed")
+	}
+	if got := ma.EvictIdle(0); got != 1 {
+		t.Fatalf("EvictIdle = %d after recovery, want 1", got)
+	}
 }
 
 // TestMapSweepAdversary2Keys sweeps an injected crash across pid 0's
