@@ -286,31 +286,56 @@ func (e ErrAbort) Error() string {
 
 // Port returns process pid's port onto the native arena. fail may be nil.
 // The port must be used by one goroutine at a time (the goroutine currently
-// impersonating process pid).
+// impersonating process pid). Whether the port's operations can skip the
+// slow path (no fail hook, padded layout) and whether Pause may spin
+// (padded layout, GOMAXPROCS > 1 at this call) are both fixed here.
 func (a *NativeArena) Port(pid int, fail FailFunc) *NativePort {
 	if pid < 0 || pid >= a.n {
 		panic(fmt.Sprintf("memory: pid %d out of range [0,%d)", pid, a.n))
 	}
-	return &NativePort{arena: a, pid: pid, fail: fail}
+	return &NativePort{
+		words:   a.words,
+		slow:    fail != nil || !a.padded,
+		canSpin: a.padded && runtime.GOMAXPROCS(0) > 1,
+		arena:   a,
+		pid:     pid,
+		fail:    fail,
+	}
 }
 
 // NativePort is a process's view of a NativeArena.
+//
+// Every operation first tests one inline guard — slow port, pending
+// label, or an address outside [1, bound) — and touches memory directly
+// when it fails; only when it holds does the operation call step, which
+// refreshes the bound, reports the label, consults the fail hook and
+// applies the legacy layout's per-op check. The fields the guard reads
+// come first, and the struct is padded to two whole cache lines so that
+// ports allocated back to back never share a line: one process's Pause
+// ladder and label stores stay off every other process's port.
 type NativePort struct {
-	arena   *NativeArena
-	pid     int
-	fail    FailFunc
-	abort   AbortFunc
-	label   string
-	onLabel func(label string)
-
-	// bound caches the arena's allocation bound so the hot path validates
+	words []atomic.Uint64 // the arena's backing words (fixed at construction)
+	// bound caches the arena's allocation bound so the guard validates
 	// addresses with a register compare instead of re-reading the shared
 	// counter on every instruction; refreshed on miss (the arena only
 	// grows). Meaningful only under the padded layout — the legacy layout
 	// keeps its original per-instruction load for faithful A/B numbers.
 	bound int64
-	// spin is the Pause backoff ladder position.
-	spin uint8
+	label string
+	// slow sends every operation through step: the port has a fail hook
+	// or runs on the legacy Unpadded layout.
+	slow bool
+	// canSpin gates Pause's busy-wait ladder; spin is the ladder position.
+	canSpin bool
+	spin    uint8
+
+	arena   *NativeArena
+	pid     int
+	fail    FailFunc
+	abort   AbortFunc
+	onLabel func(label string)
+
+	_ [32]byte // pad to 128 bytes: two whole cache lines
 }
 
 var _ Port = (*NativePort)(nil)
@@ -339,7 +364,7 @@ func (p *NativePort) SetAbortHook(h AbortFunc) { p.abort = h }
 // memory effect (and before any fail-point decision, matching the
 // CountingPort's observation order). The hook runs on the port's
 // goroutine; nil removes it. Observers such as the flight recorder hang
-// off this seam so the unlabeled hot path stays a nil comparison.
+// off this seam; unlabeled instructions never consult it.
 func (p *NativePort) SetLabelHook(h func(label string)) { p.onLabel = h }
 
 // pauseSpinMax bounds the busy-wait ladder: 1<<0 .. 1<<pauseSpinMax empty
@@ -349,22 +374,19 @@ func (p *NativePort) SetLabelHook(h func(label string)) { p.onLabel = h }
 // where yielding is the only way forward.
 const pauseSpinMax = 6
 
-// pauseCanSpin reports whether busy-waiting can ever pay off: on a single
-// processor the awaited writer cannot run concurrently, so every spin
-// iteration is wasted and Pause should go straight to the scheduler (the
-// same multicore gate sync.Mutex applies to its spinning).
-func pauseCanSpin() bool { return runtime.GOMAXPROCS(0) > 1 }
-
 // Pause implements Port: bounded spin-then-yield exponential backoff on
-// multicore, a plain yield on a uniprocessor. Under the legacy Unpadded
-// layout it yields unconditionally — the pre-optimization backend's
-// behaviour — so the padded/unpadded benchmark compares the complete old
-// and new execution paths.
+// multicore, a plain yield on a uniprocessor — on a single processor the
+// awaited writer cannot run concurrently, so every spin iteration is
+// wasted (the same multicore gate sync.Mutex applies to its spinning).
+// Under the legacy Unpadded layout it yields unconditionally — the
+// pre-optimization backend's behaviour — so the padded/unpadded benchmark
+// compares the complete old and new execution paths. The gate is decided
+// once, when the port is created.
 func (p *NativePort) Pause() {
 	if p.abort != nil && p.abort(p.pid) {
 		panic(ErrAbort{PID: p.pid})
 	}
-	if !p.arena.padded || !pauseCanSpin() {
+	if !p.canSpin {
 		runtime.Gosched()
 		return
 	}
@@ -379,6 +401,9 @@ func (p *NativePort) Pause() {
 	runtime.Gosched()
 }
 
+// step is the slow path of every operation, taken when the inline guard
+// holds: it validates addr, then reports and clears a pending label and
+// consults the fail hook.
 func (p *NativePort) step(k OpKind, addr Addr) {
 	if p.arena.padded {
 		if addr == Nil || int64(addr) >= p.bound {
@@ -392,9 +417,11 @@ func (p *NativePort) step(k OpKind, addr Addr) {
 		}
 	}
 	label := p.label
-	p.label = ""
-	if label != "" && p.onLabel != nil {
-		p.onLabel(label)
+	if label != "" {
+		p.label = ""
+		if p.onLabel != nil {
+			p.onLabel(label)
+		}
 	}
 	if p.fail != nil {
 		op := OpInfo{Kind: k, Addr: addr, Label: label}
@@ -416,28 +443,43 @@ func (p *NativePort) refreshBound(addr Addr) {
 	panic(fmt.Sprintf("memory: access to invalid address %d", addr))
 }
 
+// fast is the inline guard: an op on a port with no fail hook, no
+// pending label and a valid address below the cached bound needs no
+// call to step.
+func (p *NativePort) fast(a Addr) bool {
+	return !p.slow && p.label == "" && a != Nil && int64(a) < p.bound
+}
+
 // Read implements Port.
 func (p *NativePort) Read(a Addr) Word {
-	p.step(OpRead, a)
-	return p.arena.words[a].Load()
+	if !p.fast(a) {
+		p.step(OpRead, a)
+	}
+	return p.words[a].Load()
 }
 
 // Write implements Port.
 func (p *NativePort) Write(a Addr, v Word) {
-	p.step(OpWrite, a)
-	p.arena.words[a].Store(v)
+	if !p.fast(a) {
+		p.step(OpWrite, a)
+	}
+	p.words[a].Store(v)
 }
 
 // FAS implements Port.
 func (p *NativePort) FAS(a Addr, v Word) Word {
-	p.step(OpFAS, a)
-	return p.arena.words[a].Swap(v)
+	if !p.fast(a) {
+		p.step(OpFAS, a)
+	}
+	return p.words[a].Swap(v)
 }
 
 // CAS implements Port.
 func (p *NativePort) CAS(a Addr, old, new Word) bool {
-	p.step(OpCAS, a)
-	return p.arena.words[a].CompareAndSwap(old, new)
+	if !p.fast(a) {
+		p.step(OpCAS, a)
+	}
+	return p.words[a].CompareAndSwap(old, new)
 }
 
 // ErrTornSnapshot is returned by SnapshotWords when the arena was mutated

@@ -2,10 +2,12 @@ package memory
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 )
 
 func line(a Addr) int64 { return int64(a) / LineWords }
@@ -133,21 +135,122 @@ func TestNativeSizerMatchesArena(t *testing.T) {
 	}
 }
 
+// portOps runs one operation of each kind through a port, so the tests of
+// the inline guard cover every op.
+var portOps = []struct {
+	kind OpKind
+	do   func(p *NativePort, a Addr)
+}{
+	{OpRead, func(p *NativePort, a Addr) { p.Read(a) }},
+	{OpWrite, func(p *NativePort, a Addr) { p.Write(a, 7) }},
+	{OpFAS, func(p *NativePort, a Addr) { p.FAS(a, 7) }},
+	{OpCAS, func(p *NativePort, a Addr) { p.CAS(a, 0, 7) }},
+}
+
 // TestCachedBoundRefreshes: a port created before later allocations must
-// still accept their addresses (the cached bound refreshes on miss), and
-// must still reject addresses beyond the arena.
+// still accept their addresses (an address at or past the cached bound
+// refreshes it instead of panicking), and must still reject Nil and
+// addresses beyond the arena — on every op kind, for fast ports and for
+// ports whose fail hook sends every op through the slow path.
 func TestCachedBoundRefreshes(t *testing.T) {
-	a := NewNativeArena(1, 32*LineWords)
-	p := a.Port(0, nil)
-	x := a.Alloc(1, 0)
-	p.Write(x, 1) // first op: bound cached
-	y := a.Alloc(1, HomeNone)
-	p.Write(y, 2) // beyond the cached bound: must refresh, not panic
-	if p.Read(y) != 2 {
-		t.Fatal("read after refresh broken")
+	never := func(int, OpInfo) bool { return false }
+	for _, op := range portOps {
+		for _, fail := range []FailFunc{nil, never} {
+			a := NewNativeArena(1, 32*LineWords)
+			p := a.Port(0, fail)
+			x := a.Alloc(1, 0)
+			op.do(p, x) // first op: bound cached
+			y := a.Alloc(1, HomeNone)
+			if int64(y) != p.bound {
+				t.Fatalf("%s: new line at %d, cached bound %d; want the first address past it", op.kind, y, p.bound)
+			}
+			op.do(p, y) // just past the cached bound: must refresh, not panic
+			if p.bound <= int64(y) {
+				t.Fatalf("%s: bound %d not refreshed past %d", op.kind, p.bound, y)
+			}
+			if got := a.Peek(y); op.kind != OpRead && got != 7 {
+				t.Fatalf("%s: op after refresh left %d, want 7", op.kind, got)
+			}
+			mustPanic(t, op.kind.String()+" still invalid after refresh", func() { op.do(p, Addr(31*LineWords)) })
+			mustPanic(t, op.kind.String()+" nil", func() { op.do(p, Nil) })
+		}
 	}
-	mustPanic(t, "still invalid after refresh", func() { p.Read(Addr(31 * LineWords)) })
-	mustPanic(t, "nil", func() { p.Read(Nil) })
+}
+
+// TestPortLabelGuard: a labeled op leaves the fast path — the label hook
+// sees the label, then the fail hook sees it on the op — and the label is
+// consumed, so the next unlabeled op reports "". A crash on the labeled
+// op happens before its memory effect.
+func TestPortLabelGuard(t *testing.T) {
+	for _, op := range portOps {
+		for _, withFail := range []bool{false, true} {
+			a := NewNativeArena(1, 8*LineWords)
+			x := a.Alloc(1, 0)
+			var events []string
+			var fail FailFunc
+			if withFail {
+				fail = func(pid int, o OpInfo) bool {
+					if o.Kind != op.kind || o.Addr != x {
+						t.Errorf("fail hook saw %s %d, want %s %d", o.Kind, o.Addr, op.kind, x)
+					}
+					events = append(events, "fail:"+o.Label)
+					return o.Label != ""
+				}
+			}
+			p := a.Port(0, fail)
+			p.SetLabelHook(func(l string) { events = append(events, "label:"+l) })
+			op.do(p, x) // caches the bound: only the label can leave the fast path
+			a.words[x].Store(0)
+			events = nil
+			p.Label("F1:fas")
+			func() {
+				defer func() {
+					e := recover()
+					crash, ok := e.(ErrCrash)
+					if withFail != ok || ok && crash.Op != (OpInfo{Kind: op.kind, Addr: x, Label: "F1:fas"}) {
+						t.Fatalf("%s withFail=%v: labeled op panicked with %v", op.kind, withFail, e)
+					}
+				}()
+				op.do(p, x)
+			}()
+			if withFail && a.Peek(x) != 0 {
+				t.Fatalf("%s: crashed op took effect", op.kind)
+			}
+			op.do(p, x)
+			want := []string{"label:F1:fas"}
+			if withFail {
+				want = append(want, "fail:F1:fas", "fail:")
+			}
+			if fmt.Sprint(events) != fmt.Sprint(want) {
+				t.Fatalf("%s withFail=%v: hook events %q, want %q", op.kind, withFail, events, want)
+			}
+		}
+	}
+}
+
+// TestNativePortLayout: ports fill whole 128-byte blocks, so ports
+// allocated back to back — as rme.New and Map segments do — never share
+// a cache line, and one process's per-op state never invalidates
+// another's.
+func TestNativePortLayout(t *testing.T) {
+	if sz := unsafe.Sizeof(NativePort{}); sz%128 != 0 {
+		t.Fatalf("NativePort is %d bytes, want a multiple of 128", sz)
+	}
+	const n = 16
+	a := NewNativeArena(n, 8*LineWords)
+	ports := make([]*NativePort, n) // kept live so no two share an address
+	owner := map[uintptr]int{}
+	for pid := range ports {
+		ports[pid] = a.Port(pid, nil)
+		lo := uintptr(unsafe.Pointer(ports[pid]))
+		hi := lo + unsafe.Sizeof(*ports[pid])
+		for l := lo / 64; l <= (hi-1)/64; l++ {
+			if prev, taken := owner[l]; taken {
+				t.Fatalf("ports %d and %d share cache line %#x", prev, pid, l*64)
+			}
+			owner[l] = pid
+		}
+	}
 }
 
 func TestPauseBackoffLadder(t *testing.T) {
@@ -173,14 +276,17 @@ func TestPauseBackoffLadder(t *testing.T) {
 		t.Fatal("spin ladder never reached its top rung")
 	}
 
-	// Uniprocessor (and legacy-layout) ports must not spin at all.
+	// Legacy-layout ports and ports created on a uniprocessor must not
+	// spin at all; the gate is fixed when the port is created.
+	u := NewNativeArena(1, 8, Unpadded()).Port(0, nil)
 	runtime.GOMAXPROCS(1)
 	q := a.Port(0, nil)
 	for i := 0; i < 10; i++ {
 		q.Pause()
+		u.Pause()
 	}
-	if q.spin != 0 {
-		t.Fatalf("uniprocessor Pause advanced the spin ladder to %d", q.spin)
+	if q.spin != 0 || u.spin != 0 {
+		t.Fatalf("non-spinning Pause advanced the spin ladder: uniprocessor %d, unpadded %d", q.spin, u.spin)
 	}
 }
 

@@ -139,6 +139,16 @@ func (r *Recorder) Port(inner *memory.NativePort) *memory.CountingPort {
 // lock's state, not stale copies of the old one.
 func (r *Recorder) InvalidateRange(lo, hi memory.Addr) { r.vt.Invalidate(lo, hi) }
 
+// counts returns the process's port traffic so far. A process whose port
+// was never wrapped has none: an attempt recorded through PassageStart
+// and Abort alone is one that gave up before touching the lock.
+func (p *proc) counts() memory.OpCounts {
+	if p.port == nil {
+		return memory.OpCounts{}
+	}
+	return p.port.Counts()
+}
+
 func (r *Recorder) proc(pid int) *proc {
 	if pid < 0 || pid >= r.n {
 		panic(fmt.Sprintf("metrics: pid %d out of range [0,%d)", pid, r.n))
@@ -209,7 +219,7 @@ func (r *Recorder) PassageStart(pid int) {
 	p.attempts.Add(1)
 	p.open = true
 	p.level = 1
-	c := p.port.Counts()
+	c := p.counts()
 	p.markRMRs, p.markOps = c.RMRs, c.Ops
 }
 
@@ -279,7 +289,7 @@ func (r *Recorder) Abort(pid int) {
 		return
 	}
 	p.open = false
-	c := p.port.Counts()
+	c := p.counts()
 	rmrs := c.RMRs - p.markRMRs
 	p.rmrs.Add(rmrs)
 	p.ops.Add(c.Ops - p.markOps)

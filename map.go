@@ -77,6 +77,10 @@ type mapShard struct {
 	free     []subSlot
 	clock    uint64 // LRU stamp source
 
+	// idle records the attempts cancelled before they engaged a key
+	// of this shard (created on first use; nil without WithMetrics).
+	idle *metrics.Recorder
+
 	instantiated uint64 // keys built (fresh or into a recycled region)
 	recycled     uint64 // instantiations that reused a recycled region
 	evictions    uint64 // idle keys evicted
@@ -263,6 +267,22 @@ func (sh *mapShard) recycle(s subSlot) {
 	}
 }
 
+// idleRecorder returns the shard's recorder for attempts cancelled
+// before they engaged a key, or nil without WithMetrics. Such attempts
+// never touch a lock, so their recorder has no ports: each one counts as
+// an aborted attempt with no traffic.
+func (sh *mapShard) idleRecorder() *metrics.Recorder {
+	if !sh.m.cfg.metrics {
+		return nil
+	}
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if sh.idle == nil {
+		sh.idle = metrics.NewRecorder(sh.m.n, sh.m.cfg.levels+1, 1)
+	}
+	return sh.idle
+}
+
 // acquire looks up or instantiates key's entry and engages pid with it.
 func (sh *mapShard) acquire(pid int, key string) *mapEntry {
 	sh.mu.Lock()
@@ -393,18 +413,25 @@ func (ma *Map) Passage(pid int, key string, cs func()) (ok bool) {
 // post-acquisition check — closes as one aborted attempt, never as a
 // passage, and the process then holds nothing on the key. A
 // pre-cancelled attempt never touches the lock, so it leaves an earlier
-// crashed claim on key pinned and still owing its recovery.
+// crashed claim on key pinned and still owing its recovery; on a key pid
+// is not engaged with it does not even look the key up, so it neither
+// builds the key's lock nor evicts an idle key to make room for one.
 func (ma *Map) LockCtx(ctx context.Context, pid int, key string) error {
+	ma.checkPID(pid)
+	if c := &ma.cur[pid]; c.e == nil || (c.e.key != key && !c.inCS) {
+		if ctx.Err() != nil {
+			return ma.cancelled(ctx, ma.shardOf(key).idleRecorder(), pid)
+		}
+	}
 	e, resumed := ma.begin(pid, key)
 	c := &ma.cur[pid]
 	rec := e.slot.seg.rec
-	if err := ma.cancelled(ctx, rec, pid); err != nil {
-		// The lock was never touched, so a crashed claim on this key
-		// still owes its recovery: only a fresh engagement is released.
-		if !resumed {
-			ma.finish(pid, e)
+	if resumed {
+		// The lock is left untouched, so a crashed claim on this key
+		// still owes its recovery and stays engaged.
+		if err := ma.cancelled(ctx, rec, pid); err != nil {
+			return err
 		}
-		return err
 	}
 	if err := ma.enterCtx(ctx, e.lock, c.p, rec, pid); err != nil {
 		ma.finish(pid, e)
@@ -568,13 +595,19 @@ func (ma *Map) ShardMetricsSnapshots() ([]metrics.Snapshot, bool) {
 	out := make([]metrics.Snapshot, len(ma.shards))
 	for i, sh := range ma.shards {
 		sh.mu.Lock()
-		segs := append([]*mapSegment(nil), sh.segments...)
+		recs := make([]*metrics.Recorder, 0, len(sh.segments)+1)
+		for _, sg := range sh.segments {
+			recs = append(recs, sg.rec)
+		}
+		if sh.idle != nil {
+			recs = append(recs, sh.idle)
+		}
 		sh.mu.Unlock()
-		for j, sg := range segs {
+		for j, r := range recs {
 			if j == 0 {
-				out[i] = sg.rec.Snapshot()
+				out[i] = r.Snapshot()
 			} else {
-				out[i] = out[i].Merge(sg.rec.Snapshot())
+				out[i] = out[i].Merge(r.Snapshot())
 			}
 		}
 	}

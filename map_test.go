@@ -309,6 +309,72 @@ func TestMapAbandonedClaimPinsKey(t *testing.T) {
 	}
 }
 
+// TestMapPreCancelledUnengagedKey: a pre-cancelled attempt on a key the
+// process is not engaged with records exactly one aborted attempt and
+// nothing else — it builds no lock for the key and evicts no idle key to
+// make room for one — and a crashed claim the process holds on another
+// key stays engaged and owed.
+func TestMapPreCancelledUnengagedKey(t *testing.T) {
+	var arm atomic.Bool
+	fail := func(pid int) bool { return pid == 0 && arm.CompareAndSwap(true, false) }
+	ma, err := NewMap(2, WithShards(1), WithSegmentSlots(2), WithMetrics(), WithFailures(fail))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{"a", "b"} {
+		if !ma.Passage(0, key, func() {}) {
+			t.Fatalf("passage on %s failed", key)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		if ma.TryLockFor(1, "never-locked-"+strconv.Itoa(i), 0) {
+			t.Fatal("TryLockFor(0) acquired")
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := ma.LockCtx(ctx, 1, "never-locked-3"); err != context.Canceled {
+		t.Fatalf("pre-cancelled LockCtx = %v, want context.Canceled", err)
+	}
+	if st := ma.Stats(); st.Keys != 2 || st.Instantiated != 2 || st.Evictions != 0 {
+		t.Fatalf("after pre-cancelled attempts: %d keys, %d instantiated, %d evictions; want 2, 2, 0",
+			st.Keys, st.Instantiated, st.Evictions)
+	}
+
+	// pid 0 crashes mid-acquisition on a, then gives up on c before
+	// starting: a stays pinned by the claim and is recovered afterwards.
+	arm.Store(true)
+	if ma.Passage(0, "a", func() {}) {
+		t.Fatal("passage on a completed despite the injected crash")
+	}
+	if ma.TryLockFor(0, "c", 0) {
+		t.Fatal("TryLockFor(0) acquired")
+	}
+	if got := ma.EvictIdle(0); got != 1 {
+		t.Fatalf("EvictIdle = %d, want 1 (b; a is pinned by the crashed claim)", got)
+	}
+	if !ma.Passage(0, "a", func() {}) {
+		t.Fatal("recovery passage on a failed")
+	}
+	if st := ma.Stats(); st.Instantiated != 2 {
+		t.Fatalf("instantiated = %d, want 2 (neither c nor any never-locked key built)", st.Instantiated)
+	}
+
+	s, _ := ma.MetricsSnapshot()
+	if s.Passages != 3 || s.Aborted != 5 || s.CrashedAttempts != 1 || s.Recoveries != 1 {
+		t.Fatalf("passages %d, aborted %d, crashed %d, recoveries %d; want 3, 5, 1, 1",
+			s.Passages, s.Aborted, s.CrashedAttempts, s.Recoveries)
+	}
+	if s.Attempts != s.Passages+s.Aborted+s.CrashedAttempts {
+		t.Fatalf("attempts %d != passages %d + aborted %d + crashed %d",
+			s.Attempts, s.Passages, s.Aborted, s.CrashedAttempts)
+	}
+	if shards, _ := ma.ShardMetricsSnapshots(); shards[0].Attempts != s.Attempts || shards[0].Aborted != s.Aborted {
+		t.Fatalf("shard snapshot (%d attempts, %d aborted) != map snapshot (%d, %d)",
+			shards[0].Attempts, shards[0].Aborted, s.Attempts, s.Aborted)
+	}
+}
+
 // TestMapSweepAdversary2Keys sweeps an injected crash across pid 0's
 // instruction stream on key "a" while pid 1 continuously runs passages
 // on key "b": per-key mutual exclusion and BCSR must be independent —
